@@ -28,6 +28,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from repro.store import BLOB_KINDS
+
 
 @dataclass(frozen=True)
 class ReplicaStall:
@@ -58,7 +60,7 @@ class CorruptBlob:
     def __post_init__(self) -> None:
         if self.at_us < 0:
             raise ValueError("corruption time must be >= 0")
-        if self.kind not in ("exe", "prefix", "profile"):
+        if self.kind not in BLOB_KINDS:
             raise ValueError(f"unknown blob kind {self.kind!r}")
         if self.index < 0:
             raise ValueError("index must be >= 0")

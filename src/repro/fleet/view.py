@@ -15,29 +15,23 @@ of a virtual timestamp*:
   blob they persisted (the binary is gone: recompile and re-persist, do
   not "restore" from a memory the model says was reclaimed).
 
-The view is the fleet-level analogue of the single-server
-``_store_keys_at_init`` freeze (``serve/specialization.py``): the
-initial inventory is snapshotted **once, at fleet construction**, and
-everything else — writes, restores, prunes — is per-simulation state
-that :meth:`reset` clears. Replaying a trace therefore rebuilds the
-identical sequence of store decisions no matter what earlier replays
-wrote to or deleted from the directory.
+The view is the fleet-level analogue of the single-server manager's
+store freeze (``serve/specialization.py``): the initial inventory,
+:meth:`ArtifactStore.inventory`, is snapshotted **once, at fleet
+construction**, and everything else — writes, restores, prunes — is
+per-simulation state that :meth:`reset` clears. Replaying a trace
+therefore rebuilds the identical sequence of store decisions no matter
+what earlier replays wrote to or deleted from the directory.
 
-Entries are ``(kind, key)`` pairs, ``kind`` one of ``"exe"`` /
-``"prefix"`` / ``"profile"`` — the three blob families of the store
-layout (``.nmbl`` / ``.nmblp`` / ``.nmblprof``).
+Entries are the store's ``(kind, key)`` pairs
+(:data:`repro.store.StoreEntry`, kinds from :data:`repro.store.BLOB_KINDS`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.store import ArtifactStore
-
-# One store entry: ("exe", key) -> artifacts/<key>.nmbl, and so on.
-StoreEntry = Tuple[str, str]
-
-KINDS = ("exe", "prefix", "profile")
+from repro.store import ArtifactStore, StoreEntry
 
 
 class FleetStoreView:
@@ -53,11 +47,7 @@ class FleetStoreView:
         # The frozen initial inventory: what a previous process (or
         # fleet) left behind. Snapshotted once so every simulation of
         # this fleet starts from the same baseline.
-        self._init_entries = frozenset(
-            [("exe", k) for k in store.keys()]
-            + [("prefix", k) for k in store.prefix_keys()]
-            + [("profile", k) for k in store.profile_keys()]
-        )
+        self._init_entries = store.inventory()
         self.reset()
 
     # ----------------------------------------------------------------- replay

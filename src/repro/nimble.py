@@ -37,8 +37,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import pickle
-import struct
 import sys
 import time
 from dataclasses import dataclass, field
@@ -64,6 +62,7 @@ from repro.passes import (
     SpecializeShapes,
     ToANF,
 )
+from repro.store.envelope import Envelope
 from repro.vm.compiler import CompilerOptions, VMCompiler
 from repro.vm.executable import Executable
 from repro.vm.interpreter import VirtualMachine  # re-export for convenience
@@ -197,7 +196,7 @@ def build(
 # store key (the version is a key component), so stale blobs are never
 # even looked up — the same structural-staleness scheme executables use.
 PREFIX_VERSION = 1
-_PREFIX_MAGIC = b"NMBP"
+_PREFIX_ENVELOPE = Envelope(b"NMBP", PREFIX_VERSION, "prefix")
 
 
 def prefix_store_key(source_signature: str, platform_name: str) -> str:
@@ -237,9 +236,9 @@ class SpecializationPrefix:
     binding, where it sees static extents.
 
     ``save``/``load`` round-trip the prefix through the artifact store
-    (magic + version + content digest + pickled module); loads are
+    in the shared blob envelope (:mod:`repro.store.envelope`); loads are
     paranoid like executable loads — truncation, version skew, digest
-    mismatch, and fingerprint mismatch all raise
+    mismatch, a malformed payload, and fingerprint mismatch all raise
     :class:`SerializationError`, which store callers turn into a counted
     skip, never a wrong compile."""
 
@@ -254,65 +253,34 @@ class SpecializationPrefix:
 
     def save(self) -> bytes:
         with _deep_recursion():
-            payload = pickle.dumps(
-                (self.source_signature, self.platform_name, self.entry, self.module),
-                protocol=4,
+            return _PREFIX_ENVELOPE.seal(
+                (self.source_signature, self.platform_name, self.entry, self.module)
             )
-        digest = hashlib.sha256(payload).digest()
-        return (
-            _PREFIX_MAGIC
-            + struct.pack("<I", PREFIX_VERSION)
-            + digest
-            + payload
-        )
 
     @staticmethod
     def load(
         blob: bytes, expected_signature: Optional[str] = None
     ) -> "SpecializationPrefix":
-        header = len(_PREFIX_MAGIC) + 4 + 32
-        if len(blob) < header:
-            raise SerializationError(
-                f"prefix blob truncated: {len(blob)} bytes"
+        def decode(fields) -> "SpecializationPrefix":
+            signature, platform_name, entry, module = fields
+            if not isinstance(module, IRModule):
+                raise SerializationError(
+                    f"prefix blob holds a {type(module).__name__}, not a module"
+                )
+            if expected_signature is not None and signature != expected_signature:
+                raise SerializationError(
+                    f"prefix was built from module {signature[:12]}…, "
+                    f"expected {expected_signature[:12]}…"
+                )
+            return SpecializationPrefix(
+                module=module,
+                source_signature=signature,
+                platform_name=platform_name,
+                entry=entry,
             )
-        if blob[: len(_PREFIX_MAGIC)] != _PREFIX_MAGIC:
-            raise SerializationError("prefix blob has a bad magic number")
-        (version,) = struct.unpack(
-            "<I", blob[len(_PREFIX_MAGIC): len(_PREFIX_MAGIC) + 4]
-        )
-        if version != PREFIX_VERSION:
-            raise SerializationError(
-                f"prefix blob is version {version}, this build reads "
-                f"version {PREFIX_VERSION}"
-            )
-        digest = blob[len(_PREFIX_MAGIC) + 4: header]
-        payload = blob[header:]
-        if hashlib.sha256(payload).digest() != digest:
-            raise SerializationError("prefix blob content digest mismatch")
-        try:
-            with _deep_recursion():
-                signature, platform_name, entry, module = pickle.loads(payload)
-        except SerializationError:
-            raise
-        except Exception as err:  # corrupt pickles raise all sorts
-            raise SerializationError(
-                f"prefix blob failed to deserialize: {err}"
-            )
-        if not isinstance(module, IRModule):
-            raise SerializationError(
-                f"prefix blob holds a {type(module).__name__}, not a module"
-            )
-        if expected_signature is not None and signature != expected_signature:
-            raise SerializationError(
-                f"prefix was built from module {signature[:12]}…, "
-                f"expected {expected_signature[:12]}…"
-            )
-        return SpecializationPrefix(
-            module=module,
-            source_signature=signature,
-            platform_name=platform_name,
-            entry=entry,
-        )
+
+        with _deep_recursion():
+            return _PREFIX_ENVELOPE.open(blob, decode)
 
 
 def build_prefix(

@@ -4,12 +4,12 @@ A :class:`ShapeProfile` is the end-of-simulation snapshot of one
 module's shape traffic: the exact-key hit histogram and the decayed
 specialization scores the :class:`~repro.serve.specialization.SpecializationManager`
 accumulated, all anchored to one common timestamp. Saved into the
-artifact store as a versioned ``.nmblprof`` blob (same magic + version +
-content-digest + pickled-payload layout, and the same paranoid
-reject-and-count load discipline, as ``.nmbl`` executables and
-``.nmblp`` prefixes), it lets a *restarted* server pre-arm its
-historical top-K shapes before the first request lands — the Cinder
-``profile_data`` JIT flow applied to shape specialization.
+artifact store as a versioned profile blob (the blob envelope of
+:mod:`repro.store.envelope`, shared with specialization prefixes, and
+the same paranoid reject-and-count load discipline as executables), it
+lets a *restarted* server pre-arm its historical top-K shapes before
+the first request lands — the Cinder ``profile_data`` JIT flow applied
+to shape specialization.
 
 Shape keys are the bucketer's exact keys (tuples of ints), plus partial
 keys (tuples mixing ints and ``None``) when partial specialization is
@@ -22,17 +22,16 @@ misreading them.
 from __future__ import annotations
 
 import hashlib
-import pickle
-import struct
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.errors import SerializationError
+from repro.store.envelope import Envelope
 
 # Serialization version of profile blobs. A component of the store key,
 # so bumping it makes stale blobs unreachable rather than misread.
 PROFILE_VERSION = 1
-_PROFILE_MAGIC = b"NMPF"
+_PROFILE_ENVELOPE = Envelope(b"NMPF", PROFILE_VERSION, "profile")
 
 # An exact key is all ints; a partial key has None at unbound positions.
 ProfileKey = Tuple[Optional[int], ...]
@@ -81,68 +80,43 @@ class ShapeProfile:
         return tuple(ordered if k is None else ordered[:k])
 
     def save(self) -> bytes:
-        payload = pickle.dumps(
+        return _PROFILE_ENVELOPE.seal(
             (
                 self.source_signature,
                 self.platform_name,
                 dict(self.hits),
                 dict(self.scores),
-            ),
-            protocol=4,
-        )
-        digest = hashlib.sha256(payload).digest()
-        return (
-            _PROFILE_MAGIC
-            + struct.pack("<I", PROFILE_VERSION)
-            + digest
-            + payload
+            )
         )
 
     @staticmethod
     def load(
         blob: bytes, expected_signature: Optional[str] = None
     ) -> "ShapeProfile":
-        header = len(_PROFILE_MAGIC) + 4 + 32
-        if len(blob) < header:
-            raise SerializationError(f"profile blob truncated: {len(blob)} bytes")
-        if blob[: len(_PROFILE_MAGIC)] != _PROFILE_MAGIC:
-            raise SerializationError("profile blob has a bad magic number")
-        (version,) = struct.unpack(
-            "<I", blob[len(_PROFILE_MAGIC): len(_PROFILE_MAGIC) + 4]
-        )
-        if version != PROFILE_VERSION:
-            raise SerializationError(
-                f"profile blob is version {version}, this build reads "
-                f"version {PROFILE_VERSION}"
-            )
-        digest = blob[len(_PROFILE_MAGIC) + 4: header]
-        payload = blob[header:]
-        if hashlib.sha256(payload).digest() != digest:
-            raise SerializationError("profile blob content digest mismatch")
-        try:
-            signature, platform_name, hits, scores = pickle.loads(payload)
-        except Exception as err:  # corrupt pickles raise all sorts
-            raise SerializationError(f"profile blob failed to deserialize: {err}")
-        if not isinstance(hits, dict) or not isinstance(scores, dict):
-            raise SerializationError("profile blob payload has the wrong shape")
-        for key in list(hits) + list(scores):
-            if not isinstance(key, tuple) or not all(
-                d is None or isinstance(d, int) for d in key
-            ):
+        def decode(fields) -> "ShapeProfile":
+            signature, platform_name, hits, scores = fields
+            if not isinstance(hits, dict) or not isinstance(scores, dict):
+                raise SerializationError("profile blob payload has the wrong shape")
+            for key in list(hits) + list(scores):
+                if not isinstance(key, tuple) or not all(
+                    d is None or isinstance(d, int) for d in key
+                ):
+                    raise SerializationError(
+                        f"profile blob holds a malformed shape key {key!r}"
+                    )
+            if expected_signature is not None and signature != expected_signature:
                 raise SerializationError(
-                    f"profile blob holds a malformed shape key {key!r}"
+                    f"profile was recorded for module {signature[:12]}…, "
+                    f"expected {expected_signature[:12]}…"
                 )
-        if expected_signature is not None and signature != expected_signature:
-            raise SerializationError(
-                f"profile was recorded for module {signature[:12]}…, "
-                f"expected {expected_signature[:12]}…"
+            return ShapeProfile(
+                source_signature=signature,
+                platform_name=platform_name,
+                hits={tuple(k): int(v) for k, v in hits.items()},
+                scores={tuple(k): float(v) for k, v in scores.items()},
             )
-        return ShapeProfile(
-            source_signature=signature,
-            platform_name=platform_name,
-            hits={tuple(k): int(v) for k, v in hits.items()},
-            scores={tuple(k): float(v) for k, v in scores.items()},
-        )
+
+        return _PROFILE_ENVELOPE.open(blob, decode)
 
 
 def _sortable(key: ProfileKey) -> Tuple[Tuple[bool, int], ...]:

@@ -115,7 +115,7 @@ class ServeConfig:
     # unchanged.
     specialize_staged: bool = False
     # Profile-guided predictive specialization: persist a shape profile
-    # (.nmblprof — exact-key hit histogram + decayed scores) into the
+    # (exact-key hit histogram + decayed scores) into the
     # artifact store at every simulation end, and pre-arm the historical
     # top-K (default: specialize_max_executables; override with
     # specialize_predictive_top_k) at virtual time 0 of every
@@ -335,7 +335,7 @@ class InferenceServer:
             # build starts warm too.
             self.store.save_kernel_cache(self.kernel_cache)
             if self.specializer is not None:
-                # Snapshot this simulation's shape traffic (.nmblprof) so
+                # Snapshot this simulation's shape traffic (a profile) so
                 # the NEXT process's predictive manager can pre-arm its
                 # hot set. Written unconditionally — recording is cheap
                 # and predictive consumption is opt-in — but never read

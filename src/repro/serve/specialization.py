@@ -137,7 +137,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import repro.nimble as nimble
 from repro.codegen.kernels import KernelCache
@@ -149,7 +149,7 @@ from repro.ir.printer import module_fingerprint
 from repro.passes import bound_entry_shapes
 from repro.serve.batcher import ShapeBucketer
 from repro.serve.profile import ShapeProfile, profile_store_key
-from repro.store import ArtifactStore
+from repro.store import ArtifactStore, StoreEntry
 from repro.vm.executable import Executable, artifact_key
 
 ExactKey = Tuple[int, ...]
@@ -377,13 +377,14 @@ class SpecializationManager:
         # fingerprints the *dynamic* source module, which all of this
         # manager's shape variants share.
         self._fingerprint = module_fingerprint(mod)
-        # Replay identity with a store: the warm-restorable key set is
-        # FROZEN at construction. Artifacts this manager persists
-        # mid-simulation never join it, so a replay of the same trace
-        # makes exactly the same compile-vs-restore decisions as the
-        # first run did, no matter what the first run wrote to disk.
-        self._store_keys_at_init = (
-            frozenset(store.keys()) if store is not None else frozenset()
+        # Replay identity with a store: the store inventory — which
+        # executables, prefix and profile are restorable — is FROZEN at
+        # construction. Blobs this manager persists mid-simulation never
+        # join it, so a replay of the same trace makes exactly the same
+        # compile-vs-restore decisions as the first run did, no matter
+        # what the first run wrote to disk.
+        self._store_at_init: FrozenSet[StoreEntry] = (
+            store.inventory() if store is not None else frozenset()
         )
         # Keys whose blob failed validation once: re-attempting would
         # re-read a file this process may since have overwritten with a
@@ -398,30 +399,25 @@ class SpecializationManager:
         # Staged-mode prefix state (cross-simulation, like _executables):
         # the prefix itself is a pure function of (module, platform), so
         # it is materialized once and reused by every replay. Whether it
-        # was restorable from the store is frozen at construction —
-        # a prefix this manager persists mid-run must not turn later
-        # replays warm (same rule as _store_keys_at_init).
+        # is restorable from the store is read from _store_at_init — a
+        # prefix this manager persists mid-run must not turn later
+        # replays warm.
         self._prefix: Optional[nimble.SpecializationPrefix] = None
         self._prefix_key = (
             nimble.prefix_store_key(self._fingerprint, platform.name)
             if staged
             else None
         )
-        self._prefix_in_store_at_init = (
-            staged
-            and store is not None
-            and store.contains_prefix(self._prefix_key)
-        )
         self._prefix_restored = False
         self._prefix_rejected = False
         # Profile-guided predictive specialization: with ``predictive``
         # on and a store attached, the previous process's shape profile
-        # (``.nmblprof``) is loaded ONCE here and frozen — the snapshot
-        # this manager writes at each simulation end never feeds back
-        # into its own replays (same frozen-at-construction rule as
-        # _store_keys_at_init), so every reset() pre-arms the same top-K
-        # and replays stay bit-identical. A blob that fails validation
-        # is memoised as rejected and re-counted per reset.
+        # is loaded ONCE here and frozen — the snapshot this manager
+        # writes at each simulation end never feeds back into its own
+        # replays (same frozen-at-construction rule as _store_at_init),
+        # so every reset() pre-arms the same top-K and replays stay
+        # bit-identical. A blob that fails validation is memoised as
+        # rejected and re-counted per reset.
         self.predictive = predictive
         self.predictive_top_k = predictive_top_k
         self.partial = partial
@@ -429,9 +425,7 @@ class SpecializationManager:
         self._profile_key = profile_store_key(self._fingerprint, platform.name)
         self._profile_at_init: Optional[ShapeProfile] = None
         self._profile_rejected = False
-        if predictive and store is not None and store.contains_profile(
-            self._profile_key
-        ):
+        if predictive and ("profile", self._profile_key) in self._store_at_init:
             found = store.get_profile(
                 self._profile_key, expected_signature=self._fingerprint
             )
@@ -1073,7 +1067,8 @@ class SpecializationManager:
         healing the bad blob for the next process."""
         if self._prefix is not None:
             return
-        if self._prefix_in_store_at_init and not self._prefix_rejected:
+        restorable = ("prefix", self._prefix_key) in self._store_at_init
+        if restorable and not self._prefix_rejected:
             found = self.store.get_prefix(
                 self._prefix_key, expected_signature=self._fingerprint
             )
@@ -1197,6 +1192,7 @@ class SpecializationManager:
             self._persisted.discard(variant)
         if self.store is not None:
             skey = self._store_key_for(key, batch)
+            at_init = ("exe", skey) in self._store_at_init
             from_sibling = False
             if view is not None:
                 origin = view.origin("exe", skey)
@@ -1204,11 +1200,9 @@ class SpecializationManager:
                     restorable = True
                     from_sibling = origin != self.replica_id
                 else:
-                    restorable = skey in self._store_keys_at_init and view.present(
-                        "exe", skey
-                    )
+                    restorable = at_init and view.present("exe", skey)
             else:
-                restorable = skey in self._store_keys_at_init
+                restorable = at_init
             if restorable:
                 exe = self._attempt_store_restore(skey, variant)
                 if exe is not None:
@@ -1228,7 +1222,7 @@ class SpecializationManager:
                     # _ensure_compiled materialized (and persisted) the
                     # shared prefix as a side effect of the first fresh
                     # staged compile — mirror it into the view so the GC
-                    # inventory knows the .nmblp blob exists.
+                    # inventory knows the prefix blob exists.
                     view.record_put(
                         "prefix", self._prefix_key, now_us, self.replica_id
                     )

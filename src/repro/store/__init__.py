@@ -23,7 +23,10 @@ in-flight-restore sets), deciding from the fleet's store *model* so the
 decisions replay bit-identically (see ``docs/fleet.md``).
 """
 
-from repro.store.artifacts import STORE_FORMAT, ArtifactStore
+from repro.store.artifacts import (
+    BLOB_KINDS, STORE_FORMAT, ArtifactStore, StoreEntry,
+)
 from repro.store.gc import GCReport, StoreGC
 
-__all__ = ["ArtifactStore", "STORE_FORMAT", "GCReport", "StoreGC"]
+__all__ = ["ArtifactStore", "BLOB_KINDS", "STORE_FORMAT", "StoreEntry",
+           "GCReport", "StoreGC"]

@@ -5,9 +5,9 @@ Directory layout (specified in ``docs/serialization.md``)::
 
     <artifact_dir>/
         STORE_FORMAT            # one line: the store-format version
-        artifacts/<key>.nmbl     # Executable.save() blobs, content-addressed
-        artifacts/<key>.nmblp    # SpecializationPrefix.save() blobs
-        artifacts/<key>.nmblprof # ShapeProfile.save() blobs (shape traffic)
+        artifacts/<key>.nmbl     # kind "exe": Executable.save() blobs
+        artifacts/<key>.nmblp    # kind "prefix": SpecializationPrefix.save()
+        artifacts/<key>.nmblprof # kind "profile": ShapeProfile.save()
         kernels.kc               # KernelCache.export_entries() blob
 
 ``<key>`` is :func:`repro.vm.executable.artifact_key` — a sha256 over
@@ -43,7 +43,7 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, FrozenSet, List, Optional, Tuple, TypeVar
 
 from repro.codegen.kernels import KernelCache
 from repro.errors import SerializationError
@@ -54,9 +54,32 @@ from repro.vm.executable import Executable
 # under a different format is refused at open, before any blob is read.
 STORE_FORMAT = 1
 
-_ARTIFACT_SUFFIX = ".nmbl"
-_PREFIX_SUFFIX = ".nmblp"
-_PROFILE_SUFFIX = ".nmblprof"
+# The blob kinds and their file suffixes under ``artifacts/``: the one
+# place the layout spells them. Every other layer names a blob by
+# (kind, key) — a :data:`StoreEntry`.
+BLOB_KINDS = {"exe": ".nmbl", "prefix": ".nmblp", "profile": ".nmblprof"}
+_KIND_OF_SUFFIX = {suffix: kind for kind, suffix in BLOB_KINDS.items()}
+
+StoreEntry = Tuple[str, str]  # (kind, key)
+
+T = TypeVar("T")
+
+
+def _parse_blob_name(name: str) -> Optional[StoreEntry]:
+    """``(kind, key)`` for a well-formed blob file name, else ``None``:
+    an unknown suffix, or a known suffix with an empty key (``.nmbl``)."""
+    key, dot, ext = name.rpartition(".")
+    kind = _KIND_OF_SUFFIX.get(dot + ext)
+    if kind is None or not key:
+        return None
+    return kind, key
+
+
+def _suffix(kind: str) -> str:
+    try:
+        return BLOB_KINDS[kind]
+    except KeyError:
+        raise ValueError(f"unknown blob kind {kind!r}") from None
 
 
 class ArtifactStore:
@@ -115,19 +138,39 @@ class ArtifactStore:
         """How many rejects were static-verification failures."""
         return len(self.verify_reject_log)
 
-    def keys(self) -> List[str]:
-        """Every artifact key currently on disk, sorted (deterministic
-        iteration for replay-stable consumers)."""
-        return sorted(
-            p.name[: -len(_ARTIFACT_SUFFIX)]
-            for p in self.artifacts_dir.glob(f"*{_ARTIFACT_SUFFIX}")
-        )
+    # -------------------------------------------------------------- inventory
+    def inventory(self) -> FrozenSet[StoreEntry]:
+        """Every well-formed blob on disk as ``(kind, key)``, from one
+        directory pass. Consumers that must replay identically freeze
+        this at construction (the specialization manager, the fleet's
+        store view) instead of re-listing the directory."""
+        return frozenset(self._scan()[0])
 
-    def contains(self, key: str) -> bool:
-        return self._artifact_path(key).exists()
+    def keys(self, kind: str = "exe") -> List[str]:
+        """Every key of *kind* currently on disk, sorted (deterministic
+        iteration for replay-stable consumers)."""
+        _suffix(kind)  # an unknown kind is an error, not an empty list
+        return sorted(key for k, key in self._scan()[0] if k == kind)
+
+    def contains(self, key: str, kind: str = "exe") -> bool:
+        return self.blob_path(kind, key).exists()
 
     def __len__(self) -> int:
         return len(self.keys())
+
+    def blob_path(self, kind: str, key: str) -> Path:
+        """The on-disk path of a blob by (kind, key)."""
+        return self.artifacts_dir / f"{key}{_suffix(kind)}"
+
+    def malformed_names(self) -> List[str]:
+        """File names under ``artifacts/`` that are not well-formed blobs
+        (no known suffix, or an empty key), sorted. The GC *counts*
+        these and leaves them alone — an unrecognized file is evidence
+        of a foreign writer or corruption, and deleting evidence is the
+        one thing a collector must never do. In-flight atomic-write
+        temporaries (``.tmp-*``) are not counted; they are a healthy
+        store's transient state, not rot."""
+        return sorted(self._scan()[1])
 
     # ------------------------------------------------------------- executables
     def put(self, exe: Executable) -> str:
@@ -135,7 +178,7 @@ class ArtifactStore:
         is atomic and idempotent — re-putting an identical artifact
         rewrites the same bytes at the same path."""
         key = exe.content_hash()
-        self._atomic_write(self._artifact_path(key), exe.save())
+        self._atomic_write(self.blob_path("exe", key), exe.save())
         return key
 
     def get(
@@ -150,71 +193,41 @@ class ArtifactStore:
         :attr:`reject_log`; they are never raised to the caller, whose
         correct response is always the same: compile fresh.
         """
-        path = self._artifact_path(key)
-        try:
-            blob = path.read_bytes()
-        except FileNotFoundError:
-            return None  # plain miss: nothing was ever stored here
-        except OSError as err:
-            # The file exists but cannot be read (permissions, I/O error
-            # on a degraded volume): that is a failed load, not a miss —
-            # it must show up in the reject log, or a broken volume
-            # would silently stop restarts being warm.
-            self.reject_log.append((key, f"unreadable artifact: {err}"))
-            return None
-        try:
-            exe = Executable.load(blob, expected_signature=expected_signature)
-        except SerializationError as err:
-            self.reject_log.append((key, str(err)))
-            return None
-        # The blob deserialized, but is it the artifact this key names?
-        # A file renamed/copied to the wrong path would otherwise serve
-        # a different (module, platform, shape, batch) variant.
-        if exe.content_hash() != key:
-            self.reject_log.append(
-                (key, f"artifact hashes to {exe.content_hash()}, filed as {key}")
-            )
-            return None
-        if self.verify:
-            # The blob is authentic, but is the bytecode sound? A buggy
-            # writer (or a hand-edited blob with a recomputed hash) can
-            # produce a well-formed *container* around racy or
-            # ill-formed *contents*; verification is the last gate
-            # before anything executes it.
-            from repro.analysis import verify_executable
+        exe = self._load(
+            key,
+            self.blob_path("exe", key),
+            lambda blob: Executable.load(
+                blob, expected_signature=expected_signature
+            ),
+            Executable.content_hash,
+        )
+        if exe is None or not self.verify:
+            return exe
+        # The blob is authentic, but is the bytecode sound? A buggy
+        # writer (or a hand-edited blob with a recomputed hash) can
+        # produce a well-formed *container* around racy or ill-formed
+        # *contents*; verification is the last gate before anything
+        # executes it.
+        from repro.analysis import verify_executable
 
-            errors = [
-                f
-                for f in verify_executable(exe)
-                if f.severity == "error"
-            ]
-            if errors:
-                reason = (
-                    f"failed static verification "
-                    f"({len(errors)} finding(s)): {errors[0]}"
-                )
-                self.reject_log.append((key, reason))
-                self.verify_reject_log.append((key, reason))
-                return None
+        errors = [f for f in verify_executable(exe) if f.severity == "error"]
+        if errors:
+            reason = (
+                f"failed static verification "
+                f"({len(errors)} finding(s)): {errors[0]}"
+            )
+            self.reject_log.append((key, reason))
+            self.verify_reject_log.append((key, reason))
+            return None
         return exe
 
     # ----------------------------------------------------------------- prefixes
-    def prefix_keys(self) -> List[str]:
-        """Every specialization-prefix key currently on disk, sorted."""
-        return sorted(
-            p.name[: -len(_PREFIX_SUFFIX)]
-            for p in self.artifacts_dir.glob(f"*{_PREFIX_SUFFIX}")
-        )
-
-    def contains_prefix(self, key: str) -> bool:
-        return self._prefix_path(key).exists()
-
     def put_prefix(self, prefix) -> str:
         """File a :class:`repro.nimble.SpecializationPrefix` under its
         store key; returns the key. Atomic and idempotent, like
         :meth:`put`."""
         key = prefix.store_key()
-        self._atomic_write(self._prefix_path(key), prefix.save())
+        self._atomic_write(self.blob_path("prefix", key), prefix.save())
         return key
 
     def get_prefix(self, key: str, expected_signature: Optional[str] = None):
@@ -222,100 +235,51 @@ class ArtifactStore:
 
         Same contract as :meth:`get`: a plain miss returns ``None``
         silently; every flavor of bad blob (truncated, stale version,
-        digest mismatch, wrong source module, key/path mismatch) also
-        returns ``None`` but lands in :attr:`reject_log`. The caller's
-        fallback is always the same: rebuild the prefix from source.
+        digest mismatch, malformed payload, wrong source module,
+        key/path mismatch) also returns ``None`` but lands in
+        :attr:`reject_log`. The caller's fallback is always the same:
+        rebuild the prefix from source.
         """
-        # Imported lazily: repro.nimble imports this module at top level,
+        # Imported lazily: repro.nimble imports this package at top level,
         # so the reverse import must wait until call time.
-        from repro.nimble import SpecializationPrefix, prefix_store_key
+        from repro.nimble import SpecializationPrefix
 
-        path = self._prefix_path(key)
-        try:
-            blob = path.read_bytes()
-        except FileNotFoundError:
-            return None  # plain miss: nothing was ever stored here
-        except OSError as err:
-            self.reject_log.append((key, f"unreadable prefix: {err}"))
-            return None
-        try:
-            prefix = SpecializationPrefix.load(
+        return self._load(
+            key,
+            self.blob_path("prefix", key),
+            lambda blob: SpecializationPrefix.load(
                 blob, expected_signature=expected_signature
-            )
-        except SerializationError as err:
-            self.reject_log.append((key, str(err)))
-            return None
-        # The blob deserialized, but is it the prefix this key names? A
-        # file renamed to the wrong path would otherwise hand back a
-        # prefix for a different (module, platform).
-        recomputed = prefix_store_key(prefix.source_signature, prefix.platform_name)
-        if recomputed != key:
-            self.reject_log.append(
-                (key, f"prefix keys to {recomputed}, filed as {key}")
-            )
-            return None
-        return prefix
-
-    # ----------------------------------------------------------------- profiles
-    def profile_keys(self) -> List[str]:
-        """Every shape-profile key currently on disk, sorted."""
-        return sorted(
-            p.name[: -len(_PROFILE_SUFFIX)]
-            for p in self.artifacts_dir.glob(f"*{_PROFILE_SUFFIX}")
+            ),
+            SpecializationPrefix.store_key,
         )
 
-    def contains_profile(self, key: str) -> bool:
-        return self._profile_path(key).exists()
-
+    # ----------------------------------------------------------------- profiles
     def put_profile(self, profile) -> str:
         """File a :class:`repro.serve.profile.ShapeProfile` under its
         store key; returns the key. Atomic and idempotent, like
         :meth:`put`. One profile per (module, platform, format) — a
         later simulation's snapshot overwrites the earlier one."""
         key = profile.store_key()
-        self._atomic_write(self._profile_path(key), profile.save())
+        self._atomic_write(self.blob_path("profile", key), profile.save())
         return key
 
     def get_profile(self, key: str, expected_signature: Optional[str] = None):
         """Load the shape profile filed under *key*, or ``None``.
 
-        Same contract as :meth:`get`: a plain miss returns ``None``
-        silently; every flavor of bad blob (truncated, stale version,
-        digest mismatch, wrong source module, key/path mismatch) also
-        returns ``None`` but lands in :attr:`reject_log`. The caller's
-        fallback is always the same: serve cold, profile-less.
+        Same contract as :meth:`get_prefix`; the caller's fallback is to
+        serve cold, profile-less.
         """
-        # Imported lazily for symmetry with get_prefix (and to keep the
-        # store importable without pulling in the serving layer).
-        from repro.serve.profile import ShapeProfile, profile_store_key
+        # Imported lazily: the serving layer imports this package.
+        from repro.serve.profile import ShapeProfile
 
-        path = self._profile_path(key)
-        try:
-            blob = path.read_bytes()
-        except FileNotFoundError:
-            return None  # plain miss: nothing was ever stored here
-        except OSError as err:
-            self.reject_log.append((key, f"unreadable profile: {err}"))
-            return None
-        try:
-            profile = ShapeProfile.load(
+        return self._load(
+            key,
+            self.blob_path("profile", key),
+            lambda blob: ShapeProfile.load(
                 blob, expected_signature=expected_signature
-            )
-        except SerializationError as err:
-            self.reject_log.append((key, str(err)))
-            return None
-        # The blob deserialized, but is it the profile this key names? A
-        # file renamed to the wrong path would otherwise pre-arm shapes
-        # recorded for a different (module, platform).
-        recomputed = profile_store_key(
-            profile.source_signature, profile.platform_name
+            ),
+            ShapeProfile.store_key,
         )
-        if recomputed != key:
-            self.reject_log.append(
-                (key, f"profile keys to {recomputed}, filed as {key}")
-            )
-            return None
-        return profile
 
     # ------------------------------------------------------------ kernel cache
     @property
@@ -331,37 +295,12 @@ class ArtifactStore:
         """Merge the persisted kernel cache into *cache*; returns how
         many entries were added (0 on a missing or rejected blob — the
         caller's build simply compiles its kernels fresh)."""
-        try:
-            blob = self.kernel_cache_path.read_bytes()
-        except FileNotFoundError:
-            return 0  # no cache was ever persisted: a plain miss
-        except OSError as err:
-            # Existing but unreadable: a failed load, visible like any
-            # rejected executable blob.
-            self.reject_log.append(
-                ("kernels.kc", f"unreadable kernel cache: {err}")
-            )
-            return 0
-        try:
-            return cache.import_entries(blob)
-        except SerializationError as err:
-            self.reject_log.append(("kernels.kc", str(err)))
-            return 0
+        added = self._load(
+            "kernels.kc", self.kernel_cache_path, cache.import_entries
+        )
+        return 0 if added is None else added
 
     # ------------------------------------------------------------------- blobs
-    # Kind names shared with repro.fleet.FleetStoreView and StoreGC:
-    # "exe" (.nmbl), "prefix" (.nmblp), "profile" (.nmblprof).
-    def blob_path(self, kind: str, key: str) -> Path:
-        """The on-disk path of a blob by (kind, key) — the addressing the
-        GC and the fleet's store view use."""
-        if kind == "exe":
-            return self._artifact_path(key)
-        if kind == "prefix":
-            return self._prefix_path(key)
-        if kind == "profile":
-            return self._profile_path(key)
-        raise ValueError(f"unknown blob kind {kind!r}")
-
     def remove(self, kind: str, key: str) -> bool:
         """Unlink one blob; returns whether a file was actually removed.
         A miss is not an error — the GC prunes from a *model* of the
@@ -374,37 +313,61 @@ class ArtifactStore:
         except FileNotFoundError:
             return False
 
-    def malformed_names(self) -> List[str]:
-        """File names under ``artifacts/`` that are not well-formed blobs
-        (no known suffix, or an empty key), sorted. The GC *counts*
-        these and leaves them alone — an unrecognized file is evidence
-        of a foreign writer or corruption, and deleting evidence is the
-        one thing a collector must never do. In-flight atomic-write
-        temporaries (``.tmp-*``) are not counted; they are a healthy
-        store's transient state, not rot."""
-        bad: List[str] = []
-        for p in self.artifacts_dir.iterdir():
-            if not p.is_file() or p.name.startswith(".tmp-"):
-                continue
-            for suffix in (_PROFILE_SUFFIX, _PREFIX_SUFFIX, _ARTIFACT_SUFFIX):
-                if p.name.endswith(suffix):
-                    if len(p.name) > len(suffix):
-                        break
-                    bad.append(p.name)  # a bare suffix with no key
-                    break
-            else:
-                bad.append(p.name)
-        return sorted(bad)
-
     # -------------------------------------------------------------- internals
-    def _artifact_path(self, key: str) -> Path:
-        return self.artifacts_dir / f"{key}{_ARTIFACT_SUFFIX}"
+    def _scan(self) -> Tuple[List[StoreEntry], List[str]]:
+        """One pass over ``artifacts/``: the well-formed blobs as
+        ``(kind, key)`` and the malformed names, both through
+        :func:`_parse_blob_name` so no file is ever both."""
+        entries: List[StoreEntry] = []
+        malformed: List[str] = []
+        with os.scandir(self.artifacts_dir) as it:
+            for item in it:
+                if not item.is_file() or item.name.startswith(".tmp-"):
+                    continue
+                entry = _parse_blob_name(item.name)
+                if entry is None:
+                    malformed.append(item.name)
+                else:
+                    entries.append(entry)
+        return entries, malformed
 
-    def _prefix_path(self, key: str) -> Path:
-        return self.artifacts_dir / f"{key}{_PREFIX_SUFFIX}"
-
-    def _profile_path(self, key: str) -> Path:
-        return self.artifacts_dir / f"{key}{_PROFILE_SUFFIX}"
+    def _load(
+        self,
+        key: str,
+        path: Path,
+        decode: Callable[[bytes], T],
+        key_of: Optional[Callable[[T], str]] = None,
+    ) -> Optional[T]:
+        """The read ladder every blob shares. A missing file is a plain
+        miss (``None``, nothing logged). An existing file that cannot be
+        read (permissions, I/O error on a degraded volume), a blob
+        *decode* refuses, or — with *key_of* — a valid blob filed under
+        a key it does not hash to is a failed load: ``None``, recorded
+        in :attr:`reject_log` so a broken volume never silently stops
+        restarts being warm."""
+        try:
+            blob = path.read_bytes()
+        except FileNotFoundError:
+            return None
+        except OSError as err:
+            self.reject_log.append((key, f"unreadable {path.name}: {err}"))
+            return None
+        try:
+            found = decode(blob)
+        except SerializationError as err:
+            self.reject_log.append((key, str(err)))
+            return None
+        # The blob deserialized, but is it the one this key names? A file
+        # renamed/copied to the wrong path would otherwise serve a
+        # different variant, prefix, or profile.
+        if key_of is not None:
+            actual = key_of(found)
+            if actual != key:
+                self.reject_log.append(
+                    (key, f"{path.name} holds the blob keyed {actual}")
+                )
+                return None
+        return found
 
     def _atomic_write(self, path: Path, data: bytes) -> None:
         fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=".tmp-")

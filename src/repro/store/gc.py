@@ -35,11 +35,9 @@ deleted: an unrecognized file is evidence, not garbage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
-from repro.store.artifacts import ArtifactStore
-
-StoreEntry = Tuple[str, str]  # (kind, key), kinds "exe"/"prefix"/"profile"
+from repro.store.artifacts import ArtifactStore, StoreEntry
 
 
 @dataclass

@@ -3,6 +3,8 @@ executable persistence, kernel-cache export/import, corruption handling
 (skip-and-count, never crash, never silently load), the serving layer's
 restore path, and the public nimble.save_artifacts/load_artifacts API."""
 
+import hashlib
+import pickle
 import struct
 
 import numpy as np
@@ -26,7 +28,7 @@ from repro.serve import (
     profile_store_key,
 )
 from repro.serve.profile import PROFILE_VERSION
-from repro.store import STORE_FORMAT, ArtifactStore
+from repro.store import BLOB_KINDS, STORE_FORMAT, ArtifactStore
 from repro.vm.executable import Executable, artifact_key
 
 
@@ -36,6 +38,17 @@ def _dyn_mlp_module(dim=8, seed=0):
     )
     x = Var("x", TensorType((Any(), dim), "float32"))
     return IRModule.from_expr(Function([x], api.relu(api.dense(x, w))))
+
+
+def _envelope(magic, version, fields):
+    """A prefix/profile blob built by hand from the documented layout:
+    magic + uint32 version + sha256(payload) + pickle(protocol 4). Also
+    how a forged blob gets a digest that matches its payload."""
+    payload = pickle.dumps(fields, protocol=4)
+    return (
+        magic + struct.pack("<I", version) + hashlib.sha256(payload).digest()
+        + payload
+    )
 
 
 def _specialized(mod, rows=4, dim=8, cache=None, batch=1):
@@ -137,7 +150,7 @@ class TestArtifactStore:
     def test_truncated_artifact_skipped_and_counted(self, tmp_path):
         store = ArtifactStore(tmp_path)
         key = store.put(_specialized(_dyn_mlp_module()))
-        path = store._artifact_path(key)
+        path = store.blob_path("exe", key)
         path.write_bytes(path.read_bytes()[: 40])
         assert store.get(key) is None
         assert store.rejects == 1 and store.reject_log[0][0] == key
@@ -145,7 +158,7 @@ class TestArtifactStore:
     def test_version_bumped_artifact_skipped_and_counted(self, tmp_path):
         store = ArtifactStore(tmp_path)
         key = store.put(_specialized(_dyn_mlp_module()))
-        path = store._artifact_path(key)
+        path = store.blob_path("exe", key)
         blob = bytearray(path.read_bytes())
         blob[4:6] = struct.pack("<H", 99)
         path.write_bytes(bytes(blob))
@@ -159,8 +172,8 @@ class TestArtifactStore:
         store = ArtifactStore(tmp_path)
         key = store.put(_specialized(_dyn_mlp_module()))
         wrong = "f" * 64
-        store._artifact_path(wrong).write_bytes(
-            store._artifact_path(key).read_bytes()
+        store.blob_path("exe", wrong).write_bytes(
+            store.blob_path("exe", key).read_bytes()
         )
         assert store.get(wrong) is None
         assert store.rejects == 1
@@ -253,7 +266,7 @@ class TestNimbleArtifactAPI:
             tmp_path, [_specialized(mod, rows=r) for r in (4, 9)]
         )
         store = ArtifactStore(tmp_path)
-        path = store._artifact_path(sorted(keys)[0])
+        path = store.blob_path("exe", sorted(keys)[0])
         path.write_bytes(path.read_bytes()[:25])
         loaded = nimble.load_artifacts(tmp_path)
         assert set(loaded) == {sorted(keys)[1]}
@@ -349,7 +362,7 @@ class TestServeRestore:
         mod, requests, config = _serve_setup(tmp_path)
         cold = InferenceServer(mod, intel_cpu(), config).simulate(requests)
         store = ArtifactStore(config.artifact_dir)
-        victim = store._artifact_path(store.keys()[0])
+        victim = store.blob_path("exe", store.keys()[0])
         victim.write_bytes(victim.read_bytes()[: 50])
         warm_server = InferenceServer(mod, intel_cpu(), config)
         warm = warm_server.simulate(requests)
@@ -370,7 +383,7 @@ class TestServeRestore:
         InferenceServer(mod, intel_cpu(), config).simulate(requests)
         store = ArtifactStore(config.artifact_dir)
         for key in store.keys():
-            path = store._artifact_path(key)
+            path = store.blob_path("exe", key)
             blob = bytearray(path.read_bytes())
             blob[4:6] = struct.pack("<H", 99)
             path.write_bytes(bytes(blob))
@@ -422,8 +435,8 @@ class TestPrefixStore:
         store = ArtifactStore(tmp_path)
         key = store.put_prefix(prefix)
         assert key == prefix.store_key()
-        assert store.contains_prefix(key)
-        assert store.prefix_keys() == [key]
+        assert store.contains(key, "prefix")
+        assert store.keys("prefix") == [key]
         loaded = store.get_prefix(
             key, expected_signature=module_fingerprint(mod)
         )
@@ -446,8 +459,8 @@ class TestPrefixStore:
         store.put_prefix(self._prefix(mod))
         store.put(_specialized(mod))
         assert len(store.keys()) == 1
-        assert len(store.prefix_keys()) == 1
-        assert set(store.keys()).isdisjoint(store.prefix_keys())
+        assert len(store.keys("prefix")) == 1
+        assert set(store.keys()).isdisjoint(store.keys("prefix"))
 
     def test_prefix_miss_is_silent(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -457,7 +470,7 @@ class TestPrefixStore:
     def test_truncated_prefix_skipped_and_counted(self, tmp_path):
         store = ArtifactStore(tmp_path)
         key = store.put_prefix(self._prefix(_dyn_mlp_module()))
-        path = store._prefix_path(key)
+        path = store.blob_path("prefix", key)
         path.write_bytes(path.read_bytes()[:30])
         assert store.get_prefix(key) is None
         assert store.rejects == 1 and store.reject_log[0][0] == key
@@ -472,9 +485,46 @@ class TestPrefixStore:
         store = ArtifactStore(tmp_path)
         key = store.put_prefix(self._prefix(_dyn_mlp_module()))
         wrong = "0" * len(key)
-        store._prefix_path(key).rename(store._prefix_path(wrong))
+        store.blob_path("prefix", key).rename(store.blob_path("prefix", wrong))
         assert store.get_prefix(wrong) is None
         assert store.rejects == 1
+
+    def test_forged_digest_prefix_rejected_not_raised(self, tmp_path):
+        """A valid envelope (recomputed digest) around a wrong-typed
+        source_signature is a counted reject, not a TypeError."""
+        mod = _dyn_mlp_module()
+        prefix = self._prefix(mod)
+        store = ArtifactStore(tmp_path)
+        key = prefix.store_key()
+        store.blob_path("prefix", key).write_bytes(
+            _envelope(
+                b"NMBP",
+                nimble.PREFIX_VERSION,
+                (12345, prefix.platform_name, prefix.entry, prefix.module),
+            )
+        )
+        assert (
+            store.get_prefix(key, expected_signature=module_fingerprint(mod))
+            is None
+        )
+        assert store.rejects == 1
+
+    def test_envelope_bytes_pinned(self):
+        """save() emits exactly the documented layout, so prefix blobs
+        written before the shared envelope codec still load."""
+        prefix = self._prefix(_dyn_mlp_module())
+        blob = _envelope(
+            b"NMBP",
+            nimble.PREFIX_VERSION,
+            (prefix.source_signature, prefix.platform_name, prefix.entry,
+             prefix.module),
+        )
+        assert prefix.save() == blob
+        back = nimble.SpecializationPrefix.load(
+            blob, expected_signature=prefix.source_signature
+        )
+        assert back.store_key() == prefix.store_key()
+        assert back.entry == prefix.entry
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +546,8 @@ class TestProfileStore:
         profile = self._profile()
         key = store.put_profile(profile)
         assert key == profile_store_key("a" * 64, "intel")
-        assert store.contains_profile(key)
-        assert store.profile_keys() == [key]
+        assert store.contains(key, "profile")
+        assert store.keys("profile") == [key]
         back = store.get_profile(key, expected_signature="a" * 64)
         assert back is not None
         assert back.hits == profile.hits
@@ -514,15 +564,15 @@ class TestProfileStore:
 
     def test_profile_blobs_never_alias_other_suffixes(self, tmp_path):
         """.nmblprof files must stay invisible to keys() and
-        prefix_keys() — a *.nmblp glob that also matched .nmblprof would
-        feed profile bytes into the executable restore path."""
+        keys("prefix") — a *.nmblp glob that also matched .nmblprof
+        would feed profile bytes into the executable restore path."""
         mod = _dyn_mlp_module()
         store = ArtifactStore(tmp_path)
         store.put(_specialized(mod))
         store.put_profile(self._profile())
         assert len(store.keys()) == 1
-        assert store.prefix_keys() == []
-        assert len(store.profile_keys()) == 1
+        assert store.keys("prefix") == []
+        assert len(store.keys("profile")) == 1
 
     def test_miss_is_silent(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -532,7 +582,7 @@ class TestProfileStore:
     def test_truncated_profile_skipped_and_counted(self, tmp_path):
         store = ArtifactStore(tmp_path)
         key = store.put_profile(self._profile())
-        path = store._profile_path(key)
+        path = store.blob_path("profile", key)
         path.write_bytes(path.read_bytes()[:10])
         assert store.get_profile(key) is None
         assert store.rejects == 1 and store.reject_log[0][0] == key
@@ -540,7 +590,7 @@ class TestProfileStore:
     def test_tampered_payload_skipped_and_counted(self, tmp_path):
         store = ArtifactStore(tmp_path)
         key = store.put_profile(self._profile())
-        path = store._profile_path(key)
+        path = store.blob_path("profile", key)
         blob = bytearray(path.read_bytes())
         blob[-1] ^= 0xFF
         path.write_bytes(bytes(blob))
@@ -550,7 +600,7 @@ class TestProfileStore:
     def test_version_bumped_profile_skipped_and_counted(self, tmp_path):
         store = ArtifactStore(tmp_path)
         key = store.put_profile(self._profile())
-        path = store._profile_path(key)
+        path = store.blob_path("profile", key)
         blob = bytearray(path.read_bytes())
         blob[4:8] = struct.pack("<I", PROFILE_VERSION + 1)
         path.write_bytes(bytes(blob))
@@ -569,7 +619,7 @@ class TestProfileStore:
         store = ArtifactStore(tmp_path)
         key = store.put_profile(self._profile())
         wrong = "0" * len(key)
-        store._profile_path(key).rename(store._profile_path(wrong))
+        store.blob_path("profile", key).rename(store.blob_path("profile", wrong))
         assert store.get_profile(wrong) is None
         assert store.rejects == 1
 
@@ -583,6 +633,41 @@ class TestProfileStore:
         with pytest.raises(SerializationError, match="malformed shape key"):
             ShapeProfile.load(blob)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            ("a" * 64, "intel", {(9, 16): "x"}, {(9, 16): 1.0}),
+            ("a" * 64, "intel", {(9, 16): 1}, {(9, 16): None}),
+            (12345, "intel", {(9, 16): 1}, {(9, 16): 1.0}),
+        ],
+        ids=["str-hit-count", "none-score", "non-str-signature"],
+    )
+    def test_forged_digest_profile_rejected_not_raised(self, tmp_path, fields):
+        """A valid envelope (recomputed digest) around a wrong-typed
+        field is a counted reject, not a ValueError/TypeError escaping
+        the store (and, with predictive on, server construction)."""
+        store = ArtifactStore(tmp_path)
+        key = profile_store_key("a" * 64, "intel")
+        store.blob_path("profile", key).write_bytes(
+            _envelope(b"NMPF", PROFILE_VERSION, fields)
+        )
+        assert store.get_profile(key, expected_signature="a" * 64) is None
+        assert store.rejects == 1
+
+    def test_envelope_bytes_pinned(self):
+        """save() emits exactly the documented layout, so profile blobs
+        written before the shared envelope codec still load."""
+        profile = self._profile()
+        blob = _envelope(
+            b"NMPF",
+            PROFILE_VERSION,
+            ("a" * 64, "intel", dict(profile.hits), dict(profile.scores)),
+        )
+        assert profile.save() == blob
+        back = ShapeProfile.load(blob, expected_signature="a" * 64)
+        assert back.hits == profile.hits
+        assert back.scores == profile.scores
+
     def test_overwrite_is_last_writer_wins(self, tmp_path):
         """One profile per (module, platform, format): a second
         simulation's snapshot replaces the first at the same key."""
@@ -595,7 +680,7 @@ class TestProfileStore:
         assert store.put_profile(second) == key
         back = store.get_profile(key)
         assert back.hits == {(7, 16): 3}
-        assert store.profile_keys() == [key]
+        assert store.keys("profile") == [key]
 
 
 # ---------------------------------------------------------------------------
@@ -722,22 +807,28 @@ class TestStoreGC:
         from repro.fleet import FleetStoreView
         from repro.store import StoreGC
 
-        store = ArtifactStore(tmp_path)
-        junk = [
-            store.artifacts_dir / "README.rogue",
-            store.artifacts_dir / "deadbeef.nmblx",
+        # Bare suffixes have an empty key: malformed, never a blob.
+        names = [
+            ".nmbl", ".nmblp", ".nmblprof", "README.rogue", "deadbeef.nmblx"
         ]
-        for path in junk:
-            path.write_bytes(b"not an artifact")
-        (store.artifacts_dir / ".tmp-123").write_bytes(
-            b"in-flight writer, not junk"
-        )
-        view = FleetStoreView(store)
-        assert store.malformed_names() == ["README.rogue", "deadbeef.nmblx"]
-        report = StoreGC(store, view, max_blobs=0).collect(1000.0)
-        assert report.malformed == 2
-        for path in junk:
-            assert path.exists()  # evidence, not garbage
+        for policy in ({"max_age_us": 1.0}, {"max_blobs": 0}):
+            store = ArtifactStore(tmp_path / next(iter(policy)))
+            junk = [store.artifacts_dir / name for name in names]
+            for path in junk:
+                path.write_bytes(b"not an artifact")
+            (store.artifacts_dir / ".tmp-123").write_bytes(
+                b"in-flight writer, not junk"
+            )
+            view = FleetStoreView(store)
+            assert store.malformed_names() == names
+            assert store.inventory() == frozenset()
+            assert all(store.keys(kind) == [] for kind in BLOB_KINDS)
+            assert view.inventory() == []
+            report = StoreGC(store, view, **policy).collect(10.0)
+            assert report.malformed == len(names)
+            assert report.pruned == []
+            for path in junk:
+                assert path.exists()  # evidence, not garbage
 
     def test_counters_exclude_disk_dependent_state(self, tmp_path):
         """`missing_on_disk` depends on what earlier replays left on
