@@ -9,7 +9,12 @@ no heavyweight NumPy) with paper-sized models by default.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import math
+import os
+import shutil
+import tempfile
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -43,6 +48,13 @@ from repro.vm.interpreter import VirtualMachine
 
 DEFAULT_PLATFORMS = ("intel", "nvidia", "arm")
 
+# The baseline systems of Tables 1 and 3, in column order.
+_FRAMEWORKS = (
+    ("pytorch", EagerFramework),
+    ("mxnet", HybridFramework),
+    ("tensorflow", GraphFramework),
+)
+
 
 def _embedded_sentences(n: int, dim: int, seed: int = 0) -> List[np.ndarray]:
     """MRPC-like variable-length sentences as embedding matrices."""
@@ -65,6 +77,86 @@ def _nimble_run_all(
     for x in inputs:
         vm.run(x)
     return ctx.elapsed_us - start, vm
+
+
+def _lstm(input_size: int, hidden_size: int, seed: int):
+    """The one-layer LSTM module the LSTM serving studies serve."""
+    weights = LSTMWeights.create(input_size, hidden_size, num_layers=1, seed=seed)
+    return build_lstm_module(weights)
+
+
+# ---------------------------------------------------------------------------
+# Serving-study scaffolding: replay checks, scratch stores, cold/warm pairs
+# ---------------------------------------------------------------------------
+
+
+def _outputs(report) -> Dict[int, np.ndarray]:
+    return {r.rid: np.asarray(r.output.numpy()) for r in report.responses}
+
+
+def _same_outputs(a, b) -> bool:
+    """Both reports served the same rids with bitwise-equal outputs."""
+    first, second = _outputs(a), _outputs(b)
+    return first.keys() == second.keys() and all(
+        np.array_equal(first[rid], second[rid]) for rid in first
+    )
+
+
+def _identical(a, b) -> bool:
+    """Replay identity: every counter equal and every output bitwise
+    equal (``ServeReport.counters()`` or ``FleetReport.counters()``)."""
+    return a.counters() == b.counters() and _same_outputs(a, b)
+
+
+def _simulate_twice(sim, requests):
+    """Serve *requests* on *sim* (an ``InferenceServer`` or a
+    ``FleetRouter``), then replay them; returns (report, deterministic)."""
+    report = sim.simulate(requests)
+    return report, _identical(report, sim.simulate(requests))
+
+
+@contextlib.contextmanager
+def _scratch_root(prefix: str):
+    """A temp dir removed on exit: a study's own scratch stores must not
+    accumulate in the temp dir across harness runs."""
+    root = tempfile.mkdtemp(prefix=prefix)
+    try:
+        yield root
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+
+
+def _cold_then_warm(mod, platform: Platform, config, requests, prefix: str):
+    """Two brand-new servers (new kernel cache, VMs and manager —
+    everything a process restart loses) serve *requests* in turn against
+    one artifact store, each replaying its trace once. Without
+    ``config.artifact_dir`` the store is a scratch dir. Returns
+    ``((cold, deterministic), (warm, deterministic))``."""
+    from repro.serve import InferenceServer
+
+    if config.artifact_dir is None:
+        with _scratch_root(prefix) as root:
+            config = dataclasses.replace(config, artifact_dir=root)
+            return _cold_then_warm(mod, platform, config, requests, prefix)
+    return tuple(
+        _simulate_twice(InferenceServer(mod, platform, config), requests)
+        for _ in range(2)
+    )
+
+
+def _first_specialized_hit_us(report) -> float:
+    hits = [r.finish_us for r in report.responses if r.tier != "dynamic"]
+    return min(hits) if hits else math.inf
+
+
+def _first_hit_speedup(cold, warm) -> float:
+    """How much earlier *warm* reached its first static-tier hit."""
+    cold_first = _first_specialized_hit_us(cold)
+    warm_first = _first_specialized_hit_us(warm)
+    # inf/inf (neither run ever hit a static tier — degenerate config)
+    # would be NaN; report "no change" instead of poisoning downstream
+    # arithmetic.
+    return 1.0 if cold_first == warm_first else cold_first / warm_first
 
 
 # ---------------------------------------------------------------------------
@@ -97,15 +189,10 @@ def table1_lstm(
             row: Dict[str, float] = {}
             total_us, _ = _nimble_run_all(mod, platform, sentences, numerics)
             row["nimble"] = total_us / tokens
-            row["pytorch"] = (
-                EagerFramework(platform, numerics).run_lstm(sentences, weights).us_per_token
-            )
-            row["mxnet"] = (
-                HybridFramework(platform, numerics).run_lstm(sentences, weights).us_per_token
-            )
-            row["tensorflow"] = (
-                GraphFramework(platform, numerics).run_lstm(sentences, weights).us_per_token
-            )
+            for name, framework in _FRAMEWORKS:
+                row[name] = (
+                    framework(platform, numerics).run_lstm(sentences, weights).us_per_token
+                )
             results[layers][pname] = row
     return results
 
@@ -175,15 +262,8 @@ def table3_bert(
         row: Dict[str, float] = {}
         total_us, _ = _nimble_run_all(mod, platform, sentences, numerics)
         row["nimble"] = total_us / tokens
-        row["pytorch"] = (
-            EagerFramework(platform, numerics).run_bert(sentences, weights).us_per_token
-        )
-        row["mxnet"] = (
-            HybridFramework(platform, numerics).run_bert(sentences, weights).us_per_token
-        )
-        row["tensorflow"] = (
-            GraphFramework(platform, numerics).run_bert(sentences, weights).us_per_token
-        )
+        for name, framework in _FRAMEWORKS:
+            row[name] = framework(platform, numerics).run_bert(sentences, weights).us_per_token
         results[pname] = row
     return results
 
@@ -397,8 +477,7 @@ def serving_study(
 
     platform = platform_by_name(platform_name)
     if model == "lstm":
-        weights = LSTMWeights.create(input_size, hidden_size, num_layers=1, seed=seed)
-        mod = build_lstm_module(weights)
+        mod = _lstm(input_size, hidden_size, seed)
         requests = lstm_traffic(
             num_requests, input_size=input_size,
             mean_interarrival_us=mean_interarrival_us, seed=seed,
@@ -448,16 +527,13 @@ def serving_study(
             "span_us": report.span_us,
         }
 
-    deterministic = row(batched) == row(repeat) and (
-        batched.latencies_us == repeat.latencies_us
-    )
     return {
         "serial": row(serial),
         "batched": row(batched),
         "summary": {
             "throughput_speedup": batched.throughput_rps
             / max(1e-12, serial.throughput_rps),
-            "deterministic": float(deterministic),
+            "deterministic": float(_identical(batched, repeat)),
         },
     }
 
@@ -530,8 +606,6 @@ def specialization_study(
     }
 
     # --- 2. serving the LSTM MRPC mix with tiering on ----------------------
-    lstm_weights = LSTMWeights.create(input_size, hidden_size, num_layers=1, seed=seed)
-    lstm_mod = build_lstm_module(lstm_weights)
     requests = lstm_traffic(
         num_requests, input_size=input_size,
         mean_interarrival_us=mean_interarrival_us, seed=seed,
@@ -543,13 +617,9 @@ def specialization_study(
         specialize=True,
         specialize_threshold=threshold,
     )
-    server = InferenceServer(lstm_mod, platform, serve_config)
-    report = server.simulate(requests)
-    replay = server.simulate(requests)
-    deterministic = (
-        report.latencies_us == replay.latencies_us
-        and report.specialized_hits == replay.specialized_hits
-        and report.specialize_compile_us == replay.specialize_compile_us
+    report, deterministic = _simulate_twice(
+        InferenceServer(_lstm(input_size, hidden_size, seed), platform, serve_config),
+        requests,
     )
     serving = {
         "specialized_hits": float(report.specialized_hits),
@@ -600,8 +670,7 @@ def compile_pool_study(
     from repro.serve import InferenceServer, ServeConfig, long_tailed_traffic
 
     platform = platform_by_name(platform_name)
-    weights = LSTMWeights.create(input_size, hidden_size, num_layers=1, seed=seed)
-    mod = build_lstm_module(weights)
+    mod = _lstm(input_size, hidden_size, seed)
     requests = long_tailed_traffic(
         num_requests,
         input_size=input_size,
@@ -625,15 +694,9 @@ def compile_pool_study(
             specialize_eviction=eviction,
             specialize_decay_half_life_us=decay_half_life_us,
         )
-        server = InferenceServer(mod, platform, config, kernel_cache=shared_cache)
-        report = server.simulate(requests)
-        replay = server.simulate(requests)
-        deterministic = (
-            report.latencies_us == replay.latencies_us
-            and report.specialized_hits == replay.specialized_hits
-            and report.specialize_queue_waits_us == replay.specialize_queue_waits_us
-            and report.specialize_lane_busy_us == replay.specialize_lane_busy_us
-            and report.specialize_evictions == replay.specialize_evictions
+        report, deterministic = _simulate_twice(
+            InferenceServer(mod, platform, config, kernel_cache=shared_cache),
+            requests,
         )
         row = {
             "specialized_hit_rate": report.specialized_hit_rate,
@@ -727,8 +790,7 @@ def staged_compile_study(
     from repro.serve import InferenceServer, ServeConfig, long_tailed_traffic
 
     platform = platform_by_name(platform_name)
-    weights = LSTMWeights.create(input_size, hidden_size, num_layers=1, seed=seed)
-    mod = build_lstm_module(weights)
+    mod = _lstm(input_size, hidden_size, seed)
     requests = long_tailed_traffic(
         num_requests,
         input_size=input_size,
@@ -749,14 +811,9 @@ def staged_compile_study(
             specialize_decay_half_life_us=decay_half_life_us,
             specialize_staged=staged,
         )
-        server = InferenceServer(mod, platform, config, kernel_cache=shared_cache)
-        report = server.simulate(requests)
-        replay = server.simulate(requests)
-        deterministic = (
-            report.latencies_us == replay.latencies_us
-            and report.specialized_hits == replay.specialized_hits
-            and report.specialize_queue_waits_us == replay.specialize_queue_waits_us
-            and report.specialize_compile_us == replay.specialize_compile_us
+        report, deterministic = _simulate_twice(
+            InferenceServer(mod, platform, config, kernel_cache=shared_cache),
+            requests,
         )
         fresh = max(1.0, float(report.specialize_fresh_compiles))
         return {
@@ -923,8 +980,6 @@ def batch_specialization_study(
     )
 
     # --- 3. serving the hot-heavy LSTM mix with the batched tier -----------
-    lstm_weights = LSTMWeights.create(input_size, hidden_size, num_layers=1, seed=seed)
-    lstm_mod = build_lstm_module(lstm_weights)
     requests = long_tailed_traffic(
         num_requests,
         input_size=input_size,
@@ -944,16 +999,10 @@ def batch_specialization_study(
         specialize_compile_us=compile_us,
         specialize_batch=True,
     )
-    server = InferenceServer(lstm_mod, platform_by_name("intel"), serve_config)
-    report = server.simulate(requests)
-    replay = server.simulate(requests)
-    deterministic = (
-        report.latencies_us == replay.latencies_us
-        and [r.tier for r in report.responses]
-        == [r.tier for r in replay.responses]
-        and report.batched_hits == replay.batched_hits
-        and report.specialize_compile_us == replay.specialize_compile_us
+    server = InferenceServer(
+        _lstm(input_size, hidden_size, seed), platform_by_name("intel"), serve_config
     )
+    report, deterministic = _simulate_twice(server, requests)
     serving = {
         "batched_hits": float(report.batched_hits),
         "batched_hit_rate": report.batched_hit_rate,
@@ -1009,13 +1058,10 @@ def restart_study(
     < 0.10), the time-to-first-specialized-hit speedup, a bit-identity
     flag, and per-run replay-determinism flags.
     """
-    import tempfile
-
-    from repro.serve import InferenceServer, ServeConfig, long_tailed_traffic
+    from repro.serve import ServeConfig, long_tailed_traffic
 
     platform = platform_by_name(platform_name)
-    weights = LSTMWeights.create(input_size, hidden_size, num_layers=1, seed=seed)
-    mod = build_lstm_module(weights)
+    mod = _lstm(input_size, hidden_size, seed)
     requests = long_tailed_traffic(
         num_requests,
         input_size=input_size,
@@ -1024,9 +1070,6 @@ def restart_study(
         hot_fraction=hot_fraction,
         seed=seed,
     )
-    owns_dir = artifact_dir is None
-    if owns_dir:
-        artifact_dir = tempfile.mkdtemp(prefix="nimble-restart-study-")
     config = ServeConfig(
         max_batch_size=max_batch_size,
         max_delay_us=max_delay_us,
@@ -1045,38 +1088,9 @@ def restart_study(
         specialize_compile_us=compile_us,
         artifact_dir=artifact_dir,
     )
-
-    def first_specialized_hit_us(report) -> float:
-        hits = [r.finish_us for r in report.responses if r.tier != "dynamic"]
-        return min(hits) if hits else math.inf
-
-    def run_fresh_server():
-        """A brand-new server: new kernel cache, new VMs, new manager —
-        everything a process restart loses. Only the artifact_dir
-        persists between calls."""
-        server = InferenceServer(mod, platform, config)
-        report = server.simulate(requests)
-        replay = server.simulate(requests)
-        deterministic = (
-            report.latencies_us == replay.latencies_us
-            and [r.tier for r in report.responses]
-            == [r.tier for r in replay.responses]
-            and report.specialize_compile_us == replay.specialize_compile_us
-            and report.specialize_restored == replay.specialize_restored
-            and report.store_rejects == replay.store_rejects
-        )
-        return report, deterministic
-
-    try:
-        cold, cold_deterministic = run_fresh_server()
-        warm, warm_deterministic = run_fresh_server()
-    finally:
-        if owns_dir:
-            # The study made its own scratch store; repeated harness
-            # runs must not accumulate blob directories in /tmp.
-            import shutil
-
-            shutil.rmtree(artifact_dir, ignore_errors=True)
+    (cold, cold_deterministic), (warm, warm_deterministic) = _cold_then_warm(
+        mod, platform, config, requests, "nimble-restart-study-"
+    )
 
     def row(report, deterministic) -> Dict[str, float]:
         return {
@@ -1087,40 +1101,25 @@ def restart_study(
             "restored": float(report.specialize_restored),
             "restore_us": report.specialize_restore_us,
             "store_rejects": float(report.store_rejects),
-            "first_specialized_hit_us": first_specialized_hit_us(report),
+            "first_specialized_hit_us": _first_specialized_hit_us(report),
             "p50_us": report.p50_us,
             "p99_us": report.p99_us,
             "deterministic": float(deterministic),
         }
 
-    bit_identical = len(cold.responses) == len(warm.responses) and all(
-        a.rid == b.rid
-        and np.array_equal(
-            np.asarray(a.output.numpy()), np.asarray(b.output.numpy())
-        )
-        for a, b in zip(cold.responses, warm.responses)
-    )
     charge_ratio = warm.specialize_compile_us / max(
         1e-9, cold.specialize_compile_us
-    )
-    cold_first = first_specialized_hit_us(cold)
-    warm_first = first_specialized_hit_us(warm)
-    # inf/inf (neither run ever hit a static tier — degenerate config)
-    # would be NaN; report "no change" instead of poisoning downstream
-    # arithmetic.
-    first_hit_speedup = (
-        1.0 if cold_first == warm_first else cold_first / warm_first
     )
     return {
         "cold": row(cold, cold_deterministic),
         "warm": row(warm, warm_deterministic),
         "summary": {
             "warm_cold_charge_ratio": charge_ratio,
-            "first_hit_speedup": first_hit_speedup,
+            "first_hit_speedup": _first_hit_speedup(cold, warm),
             "hit_rate_recovered": float(
                 warm.specialized_hit_rate >= cold.specialized_hit_rate
             ),
-            "bit_identical": float(bit_identical),
+            "bit_identical": float(_same_outputs(cold, warm)),
             "deterministic": float(cold_deterministic and warm_deterministic),
         },
     }
@@ -1174,10 +1173,8 @@ def predictive_study(
     counters, a cold/warm bitwise-identity flag, and per-run
     replay-determinism flags.
     """
-    import tempfile
-
     from repro.models import build_gram_module
-    from repro.serve import InferenceServer, ServeConfig, long_tailed_traffic
+    from repro.serve import ServeConfig, long_tailed_traffic
 
     platform = platform_by_name(platform_name)
     mod = build_gram_module()
@@ -1189,9 +1186,6 @@ def predictive_study(
         hot_fraction=hot_fraction,
         seed=seed,
     )
-    owns_dir = artifact_dir is None
-    if owns_dir:
-        artifact_dir = tempfile.mkdtemp(prefix="nimble-predictive-study-")
     config = ServeConfig(
         max_batch_size=max_batch_size,
         max_delay_us=max_delay_us,
@@ -1219,40 +1213,15 @@ def predictive_study(
     )
     length_of = {r.rid: int(np.asarray(r.payload).shape[0]) for r in requests}
 
-    def first_specialized_hit_us(report) -> float:
-        hits = [r.finish_us for r in report.responses if r.tier != "dynamic"]
-        return min(hits) if hits else math.inf
-
     def partial_shapes_covered(report) -> int:
         """Distinct exact row counts served by the guarded-partial tier."""
         return len(
             {length_of[r.rid] for r in report.responses if r.tier == "partial"}
         )
 
-    def run_fresh_server():
-        server = InferenceServer(mod, platform, config)
-        report = server.simulate(requests)
-        replay = server.simulate(requests)
-        deterministic = (
-            report.latencies_us == replay.latencies_us
-            and [r.tier for r in report.responses]
-            == [r.tier for r in replay.responses]
-            and report.specialize_compile_us == replay.specialize_compile_us
-            and report.predictive_compiles == replay.predictive_compiles
-            and report.predictive_hits == replay.predictive_hits
-            and report.guard_deopts == replay.guard_deopts
-            and report.store_rejects == replay.store_rejects
-        )
-        return report, deterministic
-
-    try:
-        cold, cold_deterministic = run_fresh_server()
-        warm, warm_deterministic = run_fresh_server()
-    finally:
-        if owns_dir:
-            import shutil
-
-            shutil.rmtree(artifact_dir, ignore_errors=True)
+    (cold, cold_deterministic), (warm, warm_deterministic) = _cold_then_warm(
+        mod, platform, config, requests, "nimble-predictive-study-"
+    )
 
     def row(report, deterministic) -> Dict[str, float]:
         return {
@@ -1265,36 +1234,24 @@ def predictive_study(
             "predictive_hits": float(report.predictive_hits),
             "compile_charge_us": report.specialize_compile_us,
             "restored": float(report.specialize_restored),
-            "first_specialized_hit_us": first_specialized_hit_us(report),
+            "first_specialized_hit_us": _first_specialized_hit_us(report),
             "p50_us": report.p50_us,
             "p99_us": report.p99_us,
             "deterministic": float(deterministic),
         }
 
-    bit_identical = len(cold.responses) == len(warm.responses) and all(
-        a.rid == b.rid
-        and np.array_equal(
-            np.asarray(a.output.numpy()), np.asarray(b.output.numpy())
-        )
-        for a, b in zip(cold.responses, warm.responses)
-    )
-    cold_first = first_specialized_hit_us(cold)
-    warm_first = first_specialized_hit_us(warm)
-    first_hit_speedup = (
-        1.0 if cold_first == warm_first else cold_first / warm_first
-    )
     return {
         "cold": row(cold, cold_deterministic),
         "warm": row(warm, warm_deterministic),
         "summary": {
-            "first_hit_speedup": first_hit_speedup,
+            "first_hit_speedup": _first_hit_speedup(cold, warm),
             "predictive_compiles": float(warm.predictive_compiles),
             "predictive_hits": float(warm.predictive_hits),
             "partial_shapes_covered": float(
                 max(partial_shapes_covered(cold), partial_shapes_covered(warm))
             ),
             "guard_deopts": float(cold.guard_deopts + warm.guard_deopts),
-            "bit_identical": float(bit_identical),
+            "bit_identical": float(_same_outputs(cold, warm)),
             "deterministic": float(cold_deterministic and warm_deterministic),
         },
     }
@@ -1365,16 +1322,12 @@ def fleet_study(
     runs a *drifted* trace over it (hot set rotated) so the collector
     reclaims the retired shape's blob under the refcount guard.
     """
-    import shutil
-    import tempfile
-
     from repro.fleet import FleetConfig, FleetRouter, TenantSpec
     from repro.harness.reporting import percentile
     from repro.serve import InferenceServer, ServeConfig, multi_tenant_traffic
 
     platform = platform_by_name(platform_name)
-    weights = LSTMWeights.create(input_size, hidden_size, num_layers=1, seed=seed)
-    mod = build_lstm_module(weights)
+    mod = _lstm(input_size, hidden_size, seed)
     requests = multi_tenant_traffic(
         num_requests,
         input_size=input_size,
@@ -1415,15 +1368,6 @@ def fleet_study(
             artifact_dir=artifact_dir,
         )
 
-    def first_specialized_hit_us(report) -> float:
-        hits = [r.finish_us for r in report.responses if r.tier != "dynamic"]
-        return min(hits) if hits else math.inf
-
-    def outputs_of(report) -> Dict[int, np.ndarray]:
-        return {
-            r.rid: np.asarray(r.output.numpy()) for r in report.responses
-        }
-
     def run_fleet(
         artifact_dir: str, routing: str, replicas: int, trace=None
     ):
@@ -1441,28 +1385,18 @@ def fleet_study(
             ),
             tenants=tenants,
         )
-        report = router.simulate(trace)
-        replay = router.simulate(trace)
-        first, second = outputs_of(report), outputs_of(replay)
-        deterministic = (
-            report.counters() == replay.counters()
-            and set(first) == set(second)
-            and all(np.array_equal(first[k], second[k]) for k in first)
-        )
-        return report, deterministic
+        return _simulate_twice(router, trace)
 
-    scratch: List[str] = []
+    with _scratch_root("nimble-fleet-study-") as root:
+        # One store directory per fleet; the warm and GC fleets reuse
+        # the affinity fleet's.
+        def store(name: str) -> str:
+            return os.path.join(root, name)
 
-    def fresh_dir() -> str:
-        d = tempfile.mkdtemp(prefix="nimble-fleet-study-")
-        scratch.append(d)
-        return d
-
-    try:
-        affinity_dir = fresh_dir()
+        affinity_dir = store("affinity")
         affinity, affinity_det = run_fleet(affinity_dir, "affinity", num_replicas)
-        random_run, random_det = run_fleet(fresh_dir(), "random", num_replicas)
-        least, least_det = run_fleet(fresh_dir(), "least_loaded", num_replicas)
+        random_run, random_det = run_fleet(store("random"), "random", num_replicas)
+        least, least_det = run_fleet(store("least_loaded"), "least_loaded", num_replicas)
         # The warm fleet: a NEW router (fresh replicas, fresh kernel
         # cache objects) over the store the affinity fleet filled.
         warm, warm_det = run_fleet(affinity_dir, "affinity", num_replicas)
@@ -1486,23 +1420,19 @@ def fleet_study(
         )
         # Replica-count sweep (claim 3), each against its own store.
         sweep_det = True
-        single = InferenceServer(mod, platform, config(fresh_dir()))
-        single_outputs = outputs_of(single.simulate(requests))
+        single = InferenceServer(mod, platform, config(store("single")))
+        single_outputs = _outputs(single.simulate(requests))
         single_match = True
-        for count in replica_counts:
-            report, det = run_fleet(fresh_dir(), "affinity", count)
+        for i, count in enumerate(replica_counts):
+            report, det = run_fleet(store(f"sweep{i}"), "affinity", count)
             sweep_det = sweep_det and det
-            fleet_outputs = outputs_of(report)
             # Every request the fleet served must compute bitwise the
             # same result the lone server computed for that rid —
             # placement, batching, and tier must never change outputs.
             single_match = single_match and all(
                 np.array_equal(out, single_outputs[rid])
-                for rid, out in fleet_outputs.items()
+                for rid, out in _outputs(report).items()
             )
-    finally:
-        for d in scratch:
-            shutil.rmtree(d, ignore_errors=True)
 
     def row(report, deterministic: bool) -> Dict[str, float]:
         return {
@@ -1515,7 +1445,7 @@ def fleet_study(
             "store_rejects": float(report.store_rejects),
             "gc_pruned": float(report.gc_pruned),
             "gc_kept_referenced": float(report.gc_kept_referenced),
-            "first_specialized_hit_us": first_specialized_hit_us(report),
+            "first_specialized_hit_us": _first_specialized_hit_us(report),
             "p50_us": report.responses
             and percentile([r.latency_us for r in report.responses], 50.0)
             or 0.0,
@@ -1527,8 +1457,6 @@ def fleet_study(
             "deterministic": float(deterministic),
         }
 
-    cold_first = first_specialized_hit_us(affinity)
-    warm_first = first_specialized_hit_us(warm)
     return {
         "affinity": row(affinity, affinity_det),
         "random": row(random_run, random_det),
@@ -1544,10 +1472,10 @@ def fleet_study(
                 affinity.specialize_compile_us
                 / max(1e-9, random_run.specialize_compile_us)
             ),
-            "warm_first_hit_speedup": (
-                1.0 if cold_first == warm_first else cold_first / warm_first
+            "warm_first_hit_speedup": _first_hit_speedup(affinity, warm),
+            "warm_earlier": float(
+                _first_specialized_hit_us(warm) < _first_specialized_hit_us(affinity)
             ),
-            "warm_earlier": float(warm_first < cold_first),
             "admission_tripped": float(random_run.rejected > 0
                                        and affinity.rejected > 0),
             "replica_sweep_deterministic": float(sweep_det),
@@ -1643,9 +1571,8 @@ def stream_study(
             kernel_cache=kernel_cache,
         )
         single_us, pipeline_us, single_out, outs, profile = run_once(exe)
-        replay = run_once(exe)
         deterministic = deterministic and (
-            replay[0] == single_us and replay[1] == pipeline_us
+            run_once(exe)[:2] == (single_us, pipeline_us)
         )
         if baseline is None:
             baseline = (single_us, pipeline_us, single_out, outs)

@@ -10,7 +10,7 @@ eviction counts."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.harness.reporting import format_table, percentile
@@ -280,6 +280,21 @@ class ServeReport:
         if span <= 0:
             return [0.0 for _ in self.worker_busy_us]
         return [busy / span for busy in self.worker_busy_us]
+
+    # ----------------------------------------------------------------- replay
+    def counters(self) -> dict:
+        """Every field of the report, flattened for replay-equality
+        assertions. Responses reduce to their timing and placement;
+        compare their *outputs* bitwise, per rid, separately."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["responses"] = tuple(
+            (
+                r.rid, r.tier, r.arrival_us, r.dispatch_us, r.finish_us,
+                r.bucket_key, r.batch_size, r.worker_id, r.tenant,
+            )
+            for r in self.responses
+        )
+        return out
 
     # -------------------------------------------------------------- rendering
     def format(self, title: str = "Serving report") -> str:

@@ -201,3 +201,26 @@ class TestHarnessSmoke:
             # Nimble's dynamic allocator should be within a modest factor
             # of the fully-static plan (paper: <= 8% extra).
             assert row["nimble_bytes"] <= row["static_bytes"] * 1.6
+
+    @pytest.mark.parametrize(
+        "study, kwargs",
+        [
+            ("restart_study", dict(num_requests=40, hot_lengths=(7,), threshold=2)),
+            ("predictive_study", dict(num_requests=40, threshold=3)),
+        ],
+    )
+    def test_cold_warm_study_owns_its_scratch_store(
+        self, study, kwargs, tmp_path, monkeypatch
+    ):
+        """Without artifact_dir the study makes its own store in the temp
+        dir, replays identically, and leaves nothing behind."""
+        import tempfile
+
+        from repro import harness
+
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        summary = getattr(harness, study)(**kwargs)["summary"]
+        assert summary["deterministic"] == summary["bit_identical"] == 1.0
+        assert list(scratch.iterdir()) == []

@@ -1,6 +1,8 @@
 """The serving layer: shape bucketing, deadline batching, worker-pool
 scheduling, report statistics, determinism, and leak-freedom."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -299,6 +301,17 @@ class TestInferenceServer:
         assert a.throughput_rps == b.throughput_rps
         assert a.worker_busy_us == b.worker_busy_us
         assert a.batch_histogram == b.batch_histogram
+        assert a.counters() == b.counters()
+        # Teeth: one changed response tier or finish time must show up.
+        first = a.responses[0]
+        for changed in (
+            dataclasses.replace(first, tier="specialized"),
+            dataclasses.replace(first, finish_us=first.finish_us + 1.0),
+        ):
+            tampered = dataclasses.replace(
+                a, responses=[changed] + a.responses[1:]
+            )
+            assert tampered.counters() != b.counters()
 
     def test_repeated_simulate_is_independent(self):
         """Each simulate() is a cold-start replay: no clock, pool, busy-time
